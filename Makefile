@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build vet fmtcheck test test-serial race bench bench-allocs bench-json benchdiff snapshot-roundtrip fuzz-short examples clean
+.PHONY: verify build vet fmtcheck test test-serial race bench bench-allocs bench-json benchdiff snapshot-roundtrip fuzz-short perfbench-smoke examples clean
 
 # The tier-1 gate: everything CI runs.
 verify: build vet fmtcheck test test-serial race
@@ -68,6 +68,13 @@ fuzz-short:
 	$(GO) test ./internal/kernel -run xxx -fuzz FuzzKernelParity -fuzztime 30s
 	$(GO) test ./internal/kernel -run xxx -fuzz FuzzTileParity -fuzztime 30s
 	$(GO) test ./internal/engine -run xxx -fuzz FuzzSnapshotDecode -fuzztime 30s
+
+# Smoke test of the end-to-end benchmark (perfbench/, its own module, so
+# `go test ./...` never compiles it): builds it against this checkout and
+# runs every workload briefly, offline, with the same toolchain settings
+# as perfbench/run.sh.
+perfbench-smoke:
+	cd perfbench && GOPROXY=off GOTOOLCHAIN=local GOWORK=off $(GO) test -count=1 .
 
 # Machine-readable perf trajectory: one JSON record per backend/size
 # (E16) plus the shard-scaling (E17), streaming-mutation (E18),

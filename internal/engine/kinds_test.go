@@ -121,16 +121,15 @@ func TestShardKindCounters(t *testing.T) {
 			sum[s] += sc.Counts[s]
 		}
 	}
-	// The π merge (and its top-k ranking) scans every part, so those
-	// slots count exactly shards × queries; NN≠0 prunes by bounding-box
-	// distance, so it visits at least one and at most all shards per
-	// query. Expected-distance was never queried: its slot stays zero.
+	// NN≠0, π and top-k all run the same bounding-box-pruned scan (the
+	// π merge prunes to the global NN≠0 set first), so each visits at
+	// least one and at most all shards per query. Expected-distance was
+	// never queried: its slot stays zero.
 	want := uint64(3 * len(qs))
-	if sum[slotProbs] != want || sum[slotTopK] != want {
-		t.Fatalf("probs/topk visits = %d/%d, want %d", sum[slotProbs], sum[slotTopK], want)
-	}
-	if sum[slotNonzero] < uint64(len(qs)) || sum[slotNonzero] > want {
-		t.Fatalf("nonzero visits = %d, want in [%d, %d]", sum[slotNonzero], len(qs), want)
+	for _, s := range []int{slotNonzero, slotProbs, slotTopK} {
+		if sum[s] < uint64(len(qs)) || sum[s] > want {
+			t.Fatalf("kind %d visits = %d, want in [%d, %d]", s, sum[s], len(qs), want)
+		}
 	}
 	if sum[slotExpected] != 0 {
 		t.Fatalf("expected visits = %d without any expected query", sum[slotExpected])

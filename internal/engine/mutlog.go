@@ -17,8 +17,8 @@
 // The insert buffer (ShardOptions.InsertBuffer) defers even that: new
 // items append to a small delta shard that is queried alongside the
 // main shards through the ordinary merge planner — NN≠0 merges exactly
-// under the global Lemma 2.1 filter, π through the cross-shard
-// renormalization, E[d] through the min-reduce — so correctness is the
+// under the global Lemma 2.1 filter, π through the planner's π merge,
+// E[d] through the min-reduce — so correctness is the
 // planner's existing contract, not a special case. The buffer's backend
 // is rebuilt on each insert, but the buffer is small (its size is
 // bounded by the flush threshold), so that rebuild is the cheap,

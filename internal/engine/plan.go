@@ -21,19 +21,17 @@
 //     historical merge: shard answers supply the candidates (each
 //     shard's NN≠0 set is a superset of its members' global NN≠0 set)
 //     and the same global filter reproduces the monolithic answer.
-//   - QueryProbs combines per-shard sparse π vectors under the
-//     independence model: within a shard the backend already accounts
-//     for in-shard competition, so the merge multiplies each candidate
-//     location's contribution by the survival probability of every
-//     *other* shard, Π_{t≠s} Π_{j∈t} (1 − G_j(q,r)) — the cross-shard
-//     renormalization. For discrete datasets this is exact (it
-//     reproduces Eq. (2)); for continuous ones the cross-shard survival
-//     is integrated against the candidate's distance cdf *conditioned on
-//     the candidate winning its own shard* (the in-shard survival
-//     product reweights the integrand), so the sharded Monte-Carlo path
-//     converges to the exact Eq. (2) value as the per-shard estimates
-//     do — the only residual error is the backend's own estimate and
-//     the integral's discretization.
+//   - QueryProbs on discrete datasets runs the same pruned scan (also
+//     through parts with lb = m2) and evaluates Eq. (2) exactly over the
+//     global NN≠0 set alone — by Lemma 2.1 no other member has π > 0 —
+//     with survival products over the members with δ ≤ m2, the only ones
+//     whose cdf can be positive where the product is not 0. On
+//     continuous datasets it combines per-shard sparse π vectors: the
+//     cross-shard survival Π_{t≠s} Π_{j∈t} (1 − G_j(q,r)) is integrated
+//     against the candidate's distance cdf *conditioned on the candidate
+//     winning its own shard*, so the sharded Monte-Carlo path converges
+//     to Eq. (2) as the per-shard estimates do — the only residual error
+//     is the backend's own estimate and the integral's discretization.
 //   - QueryExpected min-reduces the per-shard expected-distance winners,
 //     tie-breaking on the global index.
 //
@@ -104,6 +102,7 @@ type boundedShard struct {
 type planScratch struct {
 	sc    kernel.Scratch
 	parts []boundedShard
+	ends  []int // π merge: per-part end offsets of the competitors in sc.Loc
 }
 
 var planPool = sync.Pool{New: func() any { return new(planScratch) }}
@@ -114,8 +113,8 @@ func putPlanScratch(ps *planScratch) { planPool.Put(ps) }
 // queryParts returns every built part the merge planner combines: the
 // main shards plus the insert buffer (mutlog.go) when it holds items —
 // the buffer is just one more shard to the planner, so every merge
-// (the Lemma 2.1 filter, the cross-shard renormalization, the E[d]
-// min-reduce) covers buffered items exactly.
+// (the Lemma 2.1 filter, the π merge, the E[d] min-reduce) covers
+// buffered items exactly.
 func (sx *ShardedIndex) queryParts(yield func(*shard)) {
 	for _, s := range sx.shards {
 		if s.ix != nil {
@@ -240,52 +239,17 @@ func (sx *ShardedIndex) nonzeroInto(q geom.Point, dst []int, ps *planScratch) ([
 	ps.parts = sx.appendParts(q, ps.parts[:0])
 	ordered := ps.parts
 	start := len(dst)
-
-	// Two smallest Δ over every unpruned shard. A shard with lb ≥ m2 can
-	// neither lower m1/m2 (its Δ's are ≥ lb) nor contribute a candidate
-	// (its δ's are ≥ lb ≥ the final threshold), and lb only grows along
-	// the order, so the scan stops at the first such shard.
-	m1, m2 := math.Inf(1), math.Inf(1)
-	arg1 := -1
-
 	if f := sx.flat; f != nil {
-		// Flat path: one fused SoA pass per active shard stages δ_i into
-		// the dense scratch row (indexed by global id) while folding Δ_i
-		// into the two-smallest state; the filter then applies the global
-		// predicate straight off the staged values — no backend calls.
-		deltas := ps.sc.Dists
-		if cap(deltas) < f.N {
-			deltas = make([]float64, f.N)
-			ps.sc.Dists = deltas
-		}
-		deltas = deltas[:f.N]
-		cut := 0
-		for _, bs := range ordered {
-			if bs.lb >= m2 {
-				break
-			}
-			bs.s.visits[slotNonzero].Add(1)
-			m1, m2, arg1 = f.ScanTwoMin(bs.s.ids, q.X, q.Y, deltas, m1, m2, arg1)
-			cut++
-		}
-		for _, bs := range ordered[:cut] {
-			for _, i := range bs.s.ids {
-				bound := m1
-				if i == arg1 {
-					bound = m2
-				}
-				if deltas[i] < bound || sx.n == 1 {
-					dst = append(dst, i)
-				}
-			}
-		}
+		deltas, m1, m2, arg1, cut := sx.scanFlat(f, q, ps, slotNonzero, false)
+		dst = sx.appendNonzeroFlat(dst, ordered[:cut], deltas, m1, m2, arg1)
 		slices.Sort(dst[start:])
 		return dst, nil
 	}
 
 	// AoS fallback (no flat mirror): the per-shard merge — shard answers
 	// supply the candidates, the global filter decides.
-	cut := 0
+	m1, m2 := math.Inf(1), math.Inf(1)
+	arg1, cut := -1, 0
 	for _, bs := range ordered {
 		if bs.lb >= m2 {
 			break
@@ -323,6 +287,49 @@ func (sx *ShardedIndex) nonzeroInto(q geom.Point, dst []int, ps *planScratch) ([
 	return dst, nil
 }
 
+// scanFlat is the pruned global scan of both flat merges: one fused SoA
+// pass per part in lower-bound order stages each member's δ_i into the
+// dense scratch row (indexed by global id) and folds its Δ_i into the
+// two-smallest state, counting a visit under slot. A part with lb ≥ m2
+// can neither lower m1/m2 (its Δ's are ≥ lb) nor hold an NN≠0 member
+// (its δ's are ≥ lb ≥ the filter bound), and lb only grows along the
+// order, so the scan stops there — at lb > m2 instead when ties is set.
+// It returns the staged row and the number of parts scanned.
+func (sx *ShardedIndex) scanFlat(f *kernel.Flat, q geom.Point, ps *planScratch, slot int, ties bool) (deltas []float64, m1, m2 float64, arg1, cut int) {
+	if cap(ps.sc.Dists) < f.N {
+		ps.sc.Dists = make([]float64, f.N)
+	}
+	deltas = ps.sc.Dists[:f.N]
+	m1, m2, arg1 = math.Inf(1), math.Inf(1), -1
+	for _, bs := range ps.parts {
+		if bs.lb > m2 || bs.lb == m2 && !ties {
+			break
+		}
+		bs.s.visits[slot].Add(1)
+		m1, m2, arg1 = f.ScanTwoMin(bs.s.ids, q.X, q.Y, deltas, m1, m2, arg1)
+		cut++
+	}
+	return deltas, m1, m2, arg1, cut
+}
+
+// appendNonzeroFlat appends the members of parts passing the global
+// Lemma 2.1 predicate δ_i < min_{j≠i} Δ_j, read off scanFlat's staged
+// δ's, in part order.
+func (sx *ShardedIndex) appendNonzeroFlat(dst []int, parts []boundedShard, deltas []float64, m1, m2 float64, arg1 int) []int {
+	for _, bs := range parts {
+		for _, i := range bs.s.ids {
+			bound := m1
+			if i == arg1 {
+				bound = m2
+			}
+			if deltas[i] < bound || sx.n == 1 {
+				dst = append(dst, i)
+			}
+		}
+	}
+	return dst
+}
+
 // QueryExpected implements Index: a min-reduce over the per-shard
 // expected-distance winners. A shard is skipped when its lower bound
 // exceeds the best expected distance found so far (E[d(q,P)] ≥ δ(q) ≥
@@ -358,8 +365,8 @@ func (sx *ShardedIndex) QueryExpected(q geom.Point) (int, float64, error) {
 	return bestI, bestD, nil
 }
 
-// QueryProbs implements Index: per-shard sparse π vectors combined with
-// the cross-shard renormalization of the independence model.
+// QueryProbs implements Index: Eq. (2) over the global NN≠0 set for
+// discrete datasets, the conditioned cross-shard merge for continuous.
 func (sx *ShardedIndex) QueryProbs(q geom.Point, eps float64) ([]quantify.Prob, error) {
 	sx.mu.RLock()
 	defer sx.mu.RUnlock()
@@ -419,58 +426,51 @@ func (sx *ShardedIndex) probsLocked(q geom.Point, eps float64, slot int) ([]quan
 	defer putPlanScratch(ps)
 	ps.parts = sx.appendParts(q, ps.parts[:0])
 	ordered := ps.parts
-	// Both merge paths scan every part for candidates (pruning happens at
-	// the survival-factor level, not per shard), so every part counts.
-	for _, bs := range ordered {
-		bs.s.visits[slot].Add(1)
-	}
 	var out []quantify.Prob
 	if sx.ds.Discrete != nil {
-		// Exact path: the shard answers fix the candidate set, and each
-		// candidate's global value is re-derived per location with the full
-		// cross-shard survival product. For candidates, a shard's NN≠0 set
-		// is preferred when the backend has it — by Lemma 2.1 it contains
-		// every member with positive π (fewer competitors only grow both
-		// sets) and is far cheaper than the shard's full π sweep; backends
-		// without CapNonzero (vpr, montecarlo, spiral) fall back to their
-		// sparse π vector.
-		cands := ps.sc.Cand[:0]
-		for _, bs := range ordered {
-			if bs.s.ix.Capabilities().Has(CapNonzero) {
-				loc, err := appendNonzeroOf(bs.s.ix, q, ps.sc.Loc[:0])
-				ps.sc.Loc = loc
-				if err != nil {
-					ps.sc.Cand = cands
-					return nil, fmt.Errorf("shard merge: %w", err)
+		// Exact path, pruned by Lemma 2.1: Eq. (2) is evaluated only for
+		// the candidates C = NN≠0 (scanFlat + the global filter), with the
+		// survival products restricted to the competitors K = {j : δ_j ≤ m2}.
+		//   - C ⊇ {i : π_i > 0}: every location of i ∉ C lies at
+		//     r ≥ δ_i ≥ Δ_j for some j ≠ i, whose G_j(q,r) = 1 zeroes it.
+		//   - K ⊇ {j : G_j(q,r) > 0} at every r with a nonzero product:
+		//     such an r is below m2 (at r ≥ m2 the Δ-argmin, or for
+		//     i = arg1 the runner-up, has G = 1), and G_j > 0 needs
+		//     δ_j ≤ r. Every factor left out is therefore exactly 1.
+		//   - Rounding: a Σw just below 1 leaves a ≈1e-16 residue, not 0,
+		//     at r ≥ m2. Keeping δ_j = m2 in K (so the π scan stops at
+		//     lb > m2, the NN≠0 scan at lb ≥ m2; Eq. (2) counts d = r with
+		//     ≤) makes the residue at r = m2 the unrestricted product's;
+		//     beyond m2 it may lack dropped factors, and members outside
+		//     NN≠0 get none.
+		f := sx.flat
+		deltas, m1, m2, arg1, cut := sx.scanFlat(f, q, ps, slot, true)
+		cands := sx.appendNonzeroFlat(ps.sc.Cand[:0], ordered[:cut], deltas, m1, m2, arg1)
+		comp, ends := ps.sc.Loc[:0], ps.ends[:0]
+		for _, bs := range ordered[:cut] {
+			for _, j := range bs.s.ids {
+				if deltas[j] <= m2 {
+					comp = append(comp, j)
 				}
-				for _, li := range loc {
-					cands = append(cands, bs.s.ids[li])
-				}
-				continue
 			}
-			loc, err := bs.s.ix.QueryProbs(q, eps)
-			if err != nil {
-				ps.sc.Cand = cands
-				return nil, fmt.Errorf("shard merge: %w", err)
-			}
-			for _, pr := range loc {
-				cands = append(cands, bs.s.ids[pr.I])
-			}
+			ends = append(ends, len(comp))
 		}
-		ps.sc.Cand = cands
+		ps.sc.Cand, ps.sc.Loc, ps.ends = cands, comp, ends
 		for _, gi := range cands {
-			p := sx.exactPi(q, gi, ordered)
-			if p > 0 {
+			if p := sx.exactPi(q, gi, ps); p > 0 {
 				out = append(out, quantify.Prob{I: gi, P: p})
 			}
 		}
 	} else {
-		// Continuous path: candidates staged as parallel scratch rows
-		// (global id, owning-shard position, shard-local π).
+		// Continuous path: every part's sparse π vector is a candidate
+		// source, so every part counts a visit. Candidates are staged as
+		// parallel scratch rows (global id, owning-shard position,
+		// shard-local π).
 		cands := ps.sc.Cand[:0]
 		owners := ps.sc.Loc[:0]
 		pis := ps.sc.Probs[:0]
 		for si, bs := range ordered {
+			bs.s.visits[slot].Add(1)
 			loc, err := bs.s.ix.QueryProbs(q, eps)
 			if err != nil {
 				ps.sc.Cand, ps.sc.Loc, ps.sc.Probs = cands, owners, pis
@@ -605,39 +605,38 @@ func (sx *ShardedIndex) survival(q geom.Point, r float64, t boundedShard, skip i
 //
 //	π_i(q) = Σ_a w_ia · Π_{j≠i} (1 − G_j(q, d(q, p_ia)))
 //
-// where the product runs over every shard — in-shard competitors and the
-// cross-shard renormalization alike — with shard-level pruning on the
-// survival factors. This reproduces the monolithic exact sweep. The
-// candidate's locations are read off the flat rows when the dataset has
-// them (same order, same arithmetic as the AoS loop).
-func (sx *ShardedIndex) exactPi(q geom.Point, gi int, ordered []boundedShard) float64 {
-	if f := sx.flat; f != nil && f.Kind == kernel.KindDiscrete {
-		total := 0.0
-		for a := f.Off[gi]; a < f.Off[gi+1]; a++ {
-			r := math.Hypot(q.X-f.Xs[a], q.Y-f.Ys[a])
-			prod := 1.0
-			for _, t := range ordered {
-				prod *= sx.survival(q, r, t, gi)
-				if prod == 0 {
-					break
-				}
-			}
-			total += f.W[a] * prod
-		}
-		return total
-	}
-	p := sx.ds.Discrete[gi]
+// with the product restricted to probsLocked's competitor set K
+// (ps.sc.Loc, grouped per part by ps.ends). The arithmetic is that of
+// the product over every part, so values stay bit-identical: one partial
+// product per part in lower-bound order, members ascending, multiplied
+// into the running product, with the same f ≤ 0 and zero early-outs. A member with δ_j > r has G_j(q,r) = 0,
+// so its factor is exactly 1 and is skipped without evaluating the cdf.
+func (sx *ShardedIndex) exactPi(q geom.Point, gi int, ps *planScratch) float64 {
+	f, deltas, comp := sx.flat, ps.sc.Dists, ps.sc.Loc
 	total := 0.0
-	for a, loc := range p.Locs {
-		r := q.Dist(loc)
-		prod := 1.0
-		for _, t := range ordered {
-			prod *= sx.survival(q, r, t, gi)
+	for a := f.Off[gi]; a < f.Off[gi+1]; a++ {
+		r := math.Hypot(q.X-f.Xs[a], q.Y-f.Ys[a])
+		prod, lo := 1.0, 0
+		for _, hi := range ps.ends {
 			if prod == 0 {
 				break
 			}
+			part := 1.0
+			for _, j := range comp[lo:hi] {
+				if j == gi || deltas[j] > r {
+					continue
+				}
+				fj := 1 - f.DistCDF(j, q.X, q.Y, r)
+				if fj <= 0 {
+					part = 0
+					break
+				}
+				part *= fj
+			}
+			prod *= part
+			lo = hi
 		}
-		total += p.W[a] * prod
+		total += f.W[a] * prod
 	}
 	return total
 }

@@ -122,9 +122,9 @@ func TestShardedParity(t *testing.T) {
 	}
 }
 
-// TestShardedDegenerate covers n < k (forced empty shards) and an
-// all-coincident cluster (empty shards under a grid cut): answers must
-// still match the monolithic backend bit-for-bit.
+// TestShardedDegenerate covers n < k (forced empty shards), an
+// all-coincident cluster (empty shards under a grid cut) and exact
+// distance ties: answers must still match the monolithic backend.
 func TestShardedDegenerate(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xdead))
 	small := FromDiscrete(constructions.RandomDiscrete(rng, 3, 2, 20, 1.0, 1))
@@ -199,6 +199,58 @@ func TestShardedDegenerate(t *testing.T) {
 		}
 		if !reflect.DeepEqual(want, got) && !(len(want) == 0 && len(got) == 0) {
 			t.Fatalf("coincident: nonzero %v, want %v", got, want)
+		}
+	}
+
+	// Distance ties: integer-grid locations queried from lattice and
+	// half-lattice points, so locations of different points sit at equal
+	// distances (a competitor's δ_j equals the candidate's r), plus one
+	// query on each shard's bbox edge. Two or four equal weights keep
+	// Σw exactly 1, so the exact sweep and the sharded merge must agree on
+	// the π support, not just the values.
+	var grid []*uncertain.Discrete
+	for x := 0; x < 6; x++ {
+		for y := 0; y < 5; y++ {
+			cx, cy := float64(2*x), float64(2*y+x%2)
+			locs := []geom.Point{geom.Pt(cx-1, cy), geom.Pt(cx+1, cy)}
+			if (x+y)%3 == 0 {
+				locs = append(locs, geom.Pt(cx, cy-1), geom.Pt(cx, cy+1))
+			}
+			grid = append(grid, uncertain.UniformDiscrete(locs))
+		}
+	}
+	gds := FromDiscrete(grid)
+	monoG, err := Build(BackendBrute, gds, BuildOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gqs []geom.Point
+	for x := -1; x <= 12; x += 2 {
+		for y := 0; y <= 10; y += 3 {
+			gqs = append(gqs, geom.Pt(float64(x), float64(y)), geom.Pt(float64(x)+0.5, float64(y)+0.5))
+		}
+	}
+	for _, k := range parityKs {
+		sx := shardedOver(t, BackendBrute, gds, k, BuildOptions{}).(*ShardedIndex)
+		qs := gqs
+		for _, s := range sx.shards {
+			b := s.bbox
+			qs = append(qs, geom.Pt(b.Max.X, (b.Min.Y+b.Max.Y)/2), geom.Pt(b.Min.X, b.Max.Y))
+		}
+		for _, q := range qs {
+			want, err1 := monoG.QueryProbs(q, 0)
+			got, err2 := sx.QueryProbs(q, 0)
+			if err1 != nil || err2 != nil {
+				t.Fatalf("grid k=%d: probs errs %v / %v", k, err1, err2)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("grid k=%d q=%v: π support %v, want %v", k, q, got, want)
+			}
+			for i := range want {
+				if got[i].I != want[i].I || math.Abs(got[i].P-want[i].P) > 1e-12 {
+					t.Fatalf("grid k=%d q=%v: π %v, want %v", k, q, got, want)
+				}
+			}
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"unn/internal/geom"
 	"unn/internal/uncertain"
@@ -109,6 +110,23 @@ func TestExactHandComputed(t *testing.T) {
 	}
 	if math.Abs(pi[1]-0.5*0.5) > 1e-12 {
 		t.Fatalf("π_2 = %v want 0.25", pi[1])
+	}
+}
+
+// A NaN query makes every sweep distance NaN, which equals nothing —
+// not even itself. The tie grouping used to leave such an entry's group
+// empty and never advance, so the exact sweep spun forever.
+func TestExactNaNQueryReturns(t *testing.T) {
+	pts := randDiscretes(rand.New(rand.NewSource(3)), 8, 3, false)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ExactPositive(pts, geom.Pt(math.NaN(), 0))
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("ExactPositive on a NaN query did not return within 10s")
 	}
 }
 

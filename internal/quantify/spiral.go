@@ -249,7 +249,9 @@ func etaSweep(entries []swpEntry, n int) []float64 {
 	touched := make([]int, 0, 16)
 	isTouched := make([]bool, n)
 	for lo := 0; lo < len(entries); {
-		hi := lo
+		// A group holds at least its first entry: a NaN distance equals
+		// nothing, itself included, and must still advance the sweep.
+		hi := lo + 1
 		for hi < len(entries) && entries[hi].d == entries[lo].d {
 			hi++
 		}

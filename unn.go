@@ -383,7 +383,7 @@ func WithShardAdaptive(cutoff int) Option {
 // sharded handle: Insert (and the insert entries of BatchMutate and the
 // Serve stream) appends to a small delta shard that is queried
 // alongside the main shards — NN≠0 merged exactly through the merge
-// planner, π/E[d] through the cross-shard renormalization — instead of
+// planner, π and E[d] through its π merge and min-reduce — instead of
 // rebuilding an owning shard per item. When the buffer crosses the
 // flush threshold it drains into the owning shards, which rebuild once:
 // one shard rebuild amortized over a threshold's worth of inserts.
